@@ -21,18 +21,22 @@ func GreedyAccuracy(in *Instance) (*Outcome, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	winners, err := selectByAccuracy(in, -1)
+	n := in.NumWorkers()
+	cs := newCoverageIndex(in).newState()
+	selected := make([]bool, n)
+	winners, err := selectByAccuracy(cs, selected, -1, nil)
 	if err != nil {
 		return nil, err
 	}
 
-	payments := make([]float64, in.NumWorkers())
-	inS := make(map[int]bool, len(winners))
+	payments := make([]float64, n)
+	inS := make([]bool, n)
 	for _, w := range winners {
 		inS[w] = true
 	}
+	var alt []int
 	for _, i := range winners {
-		alt, err := selectByAccuracy(in, i)
+		alt, err = selectByAccuracy(cs, selected, i, alt[:0])
 		if err != nil {
 			// Infeasibility without i means i is irreplaceable; any
 			// other failure keeps its own classification.
@@ -54,18 +58,25 @@ func GreedyAccuracy(in *Instance) (*Outcome, error) {
 	return finishOutcome(in, winners, payments, "GA"), nil
 }
 
-func selectByAccuracy(in *Instance, skip int) ([]int, error) {
-	cs := newCoverageState(in)
-	selected := make([]bool, in.NumWorkers())
-	var winners []int
+// selectByAccuracy runs GA's selection over W\{skip} from the full
+// requirement profile, reusing cs and selected (both reset first), and
+// appends the winners to winners. GA's near-tie rule compares within a
+// tolerance, which is not a total order: dropping a worker that lost a
+// step can change who wins it. So unlike Algorithm 2's payment reruns, a
+// GA rerun does not resume from the main run's prefix; it restarts from
+// the shared index.
+func selectByAccuracy(cs *coverageState, selected []bool, skip int, winners []int) ([]int, error) {
+	cs.reset()
+	clear(selected)
+	bids := cs.ix.in.Bids
 	for !cs.done() {
 		best, bestCov := -1, 0.0
-		for k := 0; k < in.NumWorkers(); k++ {
+		for k := range bids {
 			if k == skip || selected[k] {
 				continue
 			}
 			if cov := cs.coverage(k); cov > bestCov+covered ||
-				(cov > covered && best >= 0 && math.Abs(cov-bestCov) <= covered && in.Bids[k] < in.Bids[best]) {
+				(cov > covered && best >= 0 && math.Abs(cov-bestCov) <= covered && bids[k] < bids[best]) {
 				best, bestCov = k, cov
 			}
 		}
@@ -98,7 +109,7 @@ func GreedyBid(in *Instance) (*Outcome, error) {
 		return order[a] < order[b]
 	})
 
-	cs := newCoverageState(in)
+	cs := newCoverageIndex(in).newState()
 	var winners []int
 	for _, k := range order {
 		if cs.done() {

@@ -107,7 +107,7 @@ func TestOutcomeHelpers(t *testing.T) {
 
 func TestCoverageStateIncremental(t *testing.T) {
 	in := handInstance()
-	cs := newCoverageState(in)
+	cs := newCoverageIndex(in).newState()
 	if got := cs.coverage(0); got != 1.2 {
 		t.Fatalf("initial cov(w0) = %v, want 1.2", got)
 	}

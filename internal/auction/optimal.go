@@ -73,12 +73,12 @@ func optimalCost(in *Instance, skip int) (float64, []int, error) {
 		maxCov  float64 // coverage against the full requirements
 	}
 	cands := make([]cand, 0, n)
-	full := newCoverageState(in)
+	ix := newCoverageIndex(in)
 	for i := 0; i < n; i++ {
 		if i == skip {
 			continue
 		}
-		cov := full.coverage(i)
+		cov := ix.start.coverage(i)
 		density := math.Inf(1)
 		if in.Bids[i] > 0 {
 			density = cov / in.Bids[i]
@@ -103,7 +103,7 @@ func optimalCost(in *Instance, skip int) (float64, []int, error) {
 	var bestSet []int
 
 	// Greedy upper bound primes the search.
-	if winners, err := selectWinners(in, skip, nil); err == nil {
+	if winners, err := selectWinners(ix, skip); err == nil {
 		best = 0
 		for _, w := range winners {
 			best += in.Bids[w]

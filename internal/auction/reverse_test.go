@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"imc2/internal/imcerr"
@@ -90,15 +91,17 @@ func TestReverseAuctionMonopolist(t *testing.T) {
 // for the error conflation fixed in criticalPayment: only an infeasible
 // rerun (the worker is irreplaceable) may be reported as ErrMonopolist;
 // every other selection failure must keep its own identity and imcerr
-// code so the wire layer classifies it correctly.
+// code so the wire layer classifies it correctly. The failing rerun is
+// injected through the resumer seam the payment phase continues each
+// rerun with.
 func TestCriticalPaymentPropagatesNonMonopolistErrors(t *testing.T) {
 	in := handInstance()
 
 	cause := imcerr.New(imcerr.CodeInvalid, "auction: selection blew up")
-	failing := func(*Instance, int, func(int, *coverageState)) ([]int, error) {
-		return nil, cause
+	failing := func(*coverageState, []bool, int, func(int)) error {
+		return cause
 	}
-	_, err := criticalPaymentVia(in, 0, failing)
+	_, err := reverseAuction(in, failing)
 	if err == nil {
 		t.Fatal("failing selector produced no error")
 	}
@@ -111,15 +114,19 @@ func TestCriticalPaymentPropagatesNonMonopolistErrors(t *testing.T) {
 	if imcerr.CodeOf(err) != imcerr.CodeInvalid {
 		t.Fatalf("CodeOf(%v) = %v, want %v", err, imcerr.CodeOf(err), imcerr.CodeInvalid)
 	}
+	// The first winner's payment is the one that failed.
+	if want := "payment for worker 0: selection without worker 0: "; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("err = %q, want prefix %q", err, want)
+	}
 
-	// The real selector's infeasible rerun still diagnoses a monopolist.
+	// The real resumer's infeasible rerun still diagnoses a monopolist.
 	mono := &Instance{
 		Bids:         []float64{1},
 		TaskSets:     [][]int{{0}},
 		Accuracy:     [][]float64{{0.9}},
 		Requirements: []float64{0.5},
 	}
-	if _, err := criticalPaymentVia(mono, 0, selectWinners); !errors.Is(err, ErrMonopolist) {
+	if _, err := reverseAuction(mono, (*coverageState).extend); !errors.Is(err, ErrMonopolist) {
 		t.Fatalf("err = %v, want ErrMonopolist", err)
 	}
 }
