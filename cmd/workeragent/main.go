@@ -9,7 +9,6 @@
 //	workeragent -platform http://127.0.0.1:8080 -close
 //	workeragent -platform http://127.0.0.1:8080 -list
 //	workeragent -platform http://127.0.0.1:8080 -stats
-//	workeragent -platform http://127.0.0.1:8080 -campaign cmp-… -estimate
 //	workeragent -platform http://127.0.0.1:8080 -campaign cmp-… -seed 43 -all -close
 //	workeragent -platform http://127.0.0.1:8080 -trace 4bf92f3577b34da6a3ce929d0e0e4736
 //
@@ -57,7 +56,6 @@ func run(args []string, out io.Writer) error {
 		close_    = fs.Bool("close", false, "close the auction and print the report")
 		campaign  = fs.String("campaign", "", "target this /v2 campaign ID (empty: the /v1 default campaign)")
 		list      = fs.Bool("list", false, "list the platform's campaigns and exit")
-		estimate  = fs.Bool("estimate", false, "print the campaign's live truth estimate (requires -campaign) and exit")
 		showStats = fs.Bool("stats", false, "print the platform's unified stats snapshot (GET /v2/stats) and exit")
 		traceID   = fs.String("trace", "", "pretty-print this trace's span tree (GET /v2/traces/{id}; requires platformd -trace) and exit")
 		timeout   = fs.Duration("timeout", time.Minute, "request deadline")
@@ -82,13 +80,6 @@ func run(args []string, out io.Writer) error {
 	if *traceID != "" {
 		return printTrace(ctx, client, *traceID, out)
 	}
-	if *estimate {
-		if *campaign == "" {
-			return fmt.Errorf("-estimate requires -campaign (see -list for IDs)")
-		}
-		return printEstimate(ctx, client, *campaign, out)
-	}
-
 	c, err := regenerate(*seed, *workers, *tasks, *copiers)
 	if err != nil {
 		return err
@@ -125,7 +116,7 @@ func run(args []string, out io.Writer) error {
 	case *close_:
 		// handled below
 	default:
-		return fmt.Errorf("nothing to do: pass -all, -index, -close, -list, -estimate, -stats, or -trace")
+		return fmt.Errorf("nothing to do: pass -all, -index, -close, -list, -stats, or -trace")
 	}
 
 	if *close_ {
@@ -195,33 +186,6 @@ func printStats(ctx context.Context, client *wire.Client, out io.Writer) error {
 		}
 	} else {
 		fmt.Fprintln(out, "store: in-memory only")
-	}
-	return nil
-}
-
-// printEstimate fetches and renders a campaign's live provisional truth
-// estimate. A fresh converged estimate (staleness 0) previews exactly
-// what the settled report's truth will say if the campaign closes now.
-func printEstimate(ctx context.Context, client *wire.Client, campaign string, out io.Writer) error {
-	est, err := client.CampaignEstimate(ctx, campaign)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "campaign %s estimate (%s): %d iterations, converged=%v\n",
-		est.CampaignID, est.Method, est.Iterations, est.Converged)
-	fmt.Fprintf(out, "covers %d submissions (%d stale), %d folds / %d rebuilds\n",
-		est.CoveredSubmissions, est.Staleness, est.Folds, est.Rebuilds)
-	if len(est.Truth) == 0 {
-		fmt.Fprintln(out, "no estimate yet (run platformd with -live-estimate, or wait for the first fold)")
-		return nil
-	}
-	tasks := make([]string, 0, len(est.Truth))
-	for id := range est.Truth {
-		tasks = append(tasks, id)
-	}
-	sort.Strings(tasks)
-	for _, id := range tasks {
-		fmt.Fprintf(out, "  %s = %s\n", id, est.Truth[id])
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -209,62 +208,5 @@ func TestAgentDrivesV2Campaign(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "open") || !strings.Contains(buf.String(), "settled") {
 		t.Errorf("listing after one settle = %q", buf.String())
-	}
-}
-
-func TestAgentEstimate(t *testing.T) {
-	reg := registry.New()
-	c, err := regenerate(3, 20, 24, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosted, err := reg.Create("live", c.Dataset.Tasks(), platform.DefaultConfig(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(wire.NewRegistryServer(reg, hosted.ID(), platform.DefaultConfig(), nil).Handler())
-	defer hs.Close()
-
-	var buf strings.Builder
-	if err := run([]string{"-platform", hs.URL, "-estimate"}, &buf); err == nil ||
-		!strings.Contains(err.Error(), "requires -campaign") {
-		t.Fatalf("-estimate without -campaign: err = %v", err)
-	}
-
-	args := []string{
-		"-platform", hs.URL, "-seed", "3",
-		"-workers", "20", "-tasks", "24", "-copiers", "5",
-		"-campaign", hosted.ID(),
-	}
-	buf.Reset()
-	if err := run(append(args, "-all"), &buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// Before any background fold the estimate is empty and fully stale.
-	buf.Reset()
-	if err := run(append(args, "-estimate"), &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"covers 0 submissions (20 stale)", "no estimate yet"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("empty estimate output missing %q:\n%s", want, out)
-		}
-	}
-
-	// After a fold the agent prints the live truth view.
-	if _, err := hosted.FoldEstimate(context.Background(), 0); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := run(append(args, "-estimate"), &buf); err != nil {
-		t.Fatal(err)
-	}
-	out = buf.String()
-	for _, want := range []string{"converged=true", "covers 20 submissions (0 stale)", " = "} {
-		if !strings.Contains(out, want) {
-			t.Errorf("folded estimate output missing %q:\n%s", want, out)
-		}
 	}
 }

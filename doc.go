@@ -85,22 +85,6 @@
 // imc2.ErrUnavailable — 503 + Retry-After on the wire — instead of
 // queueing without bound.
 //
-// Truth discovery is also resumable: imc2.NewTruthEngine runs the same
-// computation as DiscoverTruth in pausable installments (Step/Run), and
-// the registry builds on that seam to settle campaigns incrementally. A
-// background incremental settler (reg.StartIncrementalSettler, or
-// platformd's -live-estimate with -estimate-every/-estimate-budget)
-// folds newly accepted submissions into a live per-campaign estimate —
-// served on GET /v2/campaigns/{id}/estimate and via
-// c.Estimate()/c.FoldEstimate — and when the campaign closes, the
-// settle adopts the background engine and finishes it. Because the
-// engine is the literal cold computation paused, the settled report is
-// byte-identical to a cold settle; only the close-time iteration count
-// drops (the committed BenchmarkSettleWarmVsCold pins both claims).
-// Folds borrow slots from the settle scheduler below, so one admission
-// bound governs background refinement and real settles together; see
-// API.md's "Live estimates".
-//
 // A production registry should also be durable: attach a campaign store
 // (internal/store) and every mutation — creation, submissions,
 // lifecycle transitions, settled reports — is logged to an event-sourced

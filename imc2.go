@@ -134,23 +134,6 @@ func DiscoverTruth(ds *Dataset, method TruthMethod, opt TruthOptions) (*TruthRes
 	return truth.Discover(ds, method, opt)
 }
 
-// TruthEngine is the resumable form of truth discovery: the same
-// computation as DiscoverTruth, pausable between iterations via
-// Step/Run and resumable later with identical results — the primitive
-// behind live campaign estimates and warm-started settles.
-type TruthEngine = truth.Engine
-
-// TruthEstimate is a deep-copied snapshot of a TruthEngine's current
-// state, safe to hold while the engine keeps iterating.
-type TruthEstimate = truth.Estimate
-
-// NewTruthEngine prepares a resumable truth-discovery run. Driving the
-// engine to completion (Run(0)) and reading Result() is exactly
-// DiscoverTruth; stopping early yields the current provisional view.
-func NewTruthEngine(ds *Dataset, method TruthMethod, opt TruthOptions) (*TruthEngine, error) {
-	return truth.NewEngine(ds, method, opt)
-}
-
 // MergePresentations canonicalizes a dataset before truth discovery:
 // values of one task whose similarity reaches tau merge into their
 // majority representative. This is the robust realization of the paper's
@@ -362,28 +345,6 @@ type RegistryOption = registry.Option
 // with it to stop the shared worker pool. A scheduler attached with
 // WithSettleScheduler stays the caller's to Close.
 func NewCampaignRegistry(opts ...RegistryOption) *CampaignRegistry { return registry.New(opts...) }
-
-// ---- Live estimates (background incremental settling) ------------------------
-
-// CampaignEstimate is a hosted campaign's live provisional truth
-// estimate (HostedCampaign.Estimate): the truth and worker weights the
-// settle would elect right now, plus how fresh that view is. An
-// estimate with Staleness 0 and Converged true previews the final
-// report's truth exactly — warm-started settles are byte-identical to
-// cold ones.
-type CampaignEstimate = platform.EstimateSnapshot
-
-// FoldProgress reports what one HostedCampaign.FoldEstimate call did.
-type FoldProgress = platform.FoldProgress
-
-// IncrementalSettler folds every open campaign's estimate forward on a
-// cadence so close-time settles start warm; construct with
-// CampaignRegistry.StartIncrementalSettler, stop with Stop.
-type IncrementalSettler = registry.IncrementalSettler
-
-// IncrementalSettlerConfig sets the settler's cadence and per-tick
-// iteration budget.
-type IncrementalSettlerConfig = registry.SettlerConfig
 
 // ---- Settle scheduling (registry-wide admission + shared pool) ---------------
 

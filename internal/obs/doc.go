@@ -37,7 +37,6 @@
 //
 // The per-iteration settle telemetry this package carries (see
 // truth.Trace) is the operational face of the paper's
-// iterate-to-convergence truth discovery: the same convergence
-// counters an operator watches are the warm-start signal a future
-// online/incremental settle engine consumes.
+// iterate-to-convergence truth discovery: an operator reads from it how
+// many iterations each settle took and whether it converged.
 package obs

@@ -91,17 +91,6 @@ type Config struct {
 	// so no submission or lifecycle event can interleave. ctx carries
 	// the settle's trace span, as for RecordClosing.
 	RecordSettled func(ctx context.Context, rep *Report, audit *Audit) error
-
-	// WarmStart, when non-nil, is consulted by the settle stages after
-	// the campaign enters Closing: given the frozen submission count, it
-	// may return a resumable truth engine (typically an Estimator's,
-	// refined in the background) whose dataset was assembled — with the
-	// settle's own method and options — from exactly those submissions
-	// in acceptance order. The settle resumes it to convergence instead
-	// of starting cold; because the engine is the cold computation
-	// paused, the settled report is byte-identical either way. Returning
-	// nil (stale or absent estimate) falls back to a cold run.
-	WarmStart func(frozenSubs int) *truth.Engine
 }
 
 // DefaultConfig returns the paper's configuration: DATE + ReverseAuction.
@@ -303,7 +292,7 @@ func (p *Platform) runStages(ctx context.Context, cfg Config) (*Report, *Audit, 
 	tspan := span.Child("truth.discover")
 	tspan.SetAttr("method", cfg.TruthMethod.String())
 	topt.Trace = truth.MultiTrace(rec, topt.Trace, truth.SpanTrace(tspan))
-	res, err := p.discoverTruth(ds, cfg, topt)
+	res, err := truth.Discover(ds, cfg.TruthMethod, topt)
 	if err != nil {
 		err = imcerr.Wrapf(imcerr.CodeInvalid, err, "platform: truth discovery")
 		tspan.SetError(err)
@@ -380,56 +369,20 @@ func runAuction(in *auction.Instance, mech Mechanism) (*auction.Outcome, error) 
 	return out, nil
 }
 
-// discoverTruth runs stage 1: a warm engine resumed to convergence when
-// the WarmStart seam offers one covering the frozen submissions, a cold
-// Discover otherwise. The warm engine's dataset is content-identical to
-// ds (same submissions, same deterministic assembly), so its indices
-// align with ds for the auction stage; resuming it under the settle's
-// trace records exactly the iterations the settle itself performs.
-func (p *Platform) discoverTruth(ds *model.Dataset, cfg Config, topt truth.Options) (*truth.Result, error) {
-	if cfg.WarmStart != nil {
-		if eng := cfg.WarmStart(len(p.subs)); eng != nil {
-			eng.SetTrace(topt.Trace)
-			eng.Run(0)
-			return eng.Result(), nil
-		}
-	}
-	return truth.Discover(ds, cfg.TruthMethod, topt)
-}
-
 // assemble compiles the submissions into the dataset plus a bid vector
-// aligned with the dataset's worker indexing.
+// aligned with the dataset's worker indexing. The assembly is
+// deterministic — submissions in acceptance order, task IDs sorted
+// within each submission — so equal submission lists always yield
+// bit-identical datasets and worker indexings.
 func (p *Platform) assemble() (*model.Dataset, []float64, error) {
-	ds, err := assembleSubs(p.tasks, p.subs)
-	if err != nil {
-		return nil, nil, err
-	}
-	bids := make([]float64, ds.NumWorkers())
-	for _, sub := range p.subs {
-		i, ok := ds.WorkerIndex(sub.Worker)
-		if !ok {
-			return nil, nil, fmt.Errorf("platform: worker %q lost during assembly", sub.Worker)
-		}
-		bids[i] = sub.Price
-	}
-	return ds, bids, nil
-}
-
-// assembleSubs compiles a submission prefix into a dataset. The
-// assembly is deterministic — submissions in acceptance order, task IDs
-// sorted within each submission — so equal prefixes always yield
-// bit-identical datasets and worker indexings; both the settle path and
-// the background estimator build through here, which is what makes a
-// count match sufficient for the warm hand-off.
-func assembleSubs(tasks []model.Task, subs []Submission) (*model.Dataset, error) {
-	if len(subs) == 0 {
-		return nil, imcerr.New(imcerr.CodeInfeasible, "platform: no submissions")
+	if len(p.subs) == 0 {
+		return nil, nil, imcerr.New(imcerr.CodeInfeasible, "platform: no submissions")
 	}
 	b := model.NewBuilder()
-	for _, t := range tasks {
+	for _, t := range p.tasks {
 		b.AddTask(t)
 	}
-	for _, sub := range subs {
+	for _, sub := range p.subs {
 		// Deterministic task order within a submission.
 		ids := make([]string, 0, len(sub.Answers))
 		for taskID := range sub.Answers {
@@ -442,9 +395,17 @@ func assembleSubs(tasks []model.Task, subs []Submission) (*model.Dataset, error)
 	}
 	ds, err := b.Build()
 	if err != nil {
-		return nil, fmt.Errorf("platform: assembling dataset: %w", err)
+		return nil, nil, fmt.Errorf("platform: assembling dataset: %w", err)
 	}
-	return ds, nil
+	bids := make([]float64, ds.NumWorkers())
+	for _, sub := range p.subs {
+		i, ok := ds.WorkerIndex(sub.Worker)
+		if !ok {
+			return nil, nil, fmt.Errorf("platform: worker %q lost during assembly", sub.Worker)
+		}
+		bids[i] = sub.Price
+	}
+	return ds, bids, nil
 }
 
 // LastAudit returns the dependence audit of the settled campaign, or nil

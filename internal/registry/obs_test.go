@@ -12,6 +12,16 @@ import (
 	"imc2/internal/platform"
 )
 
+// exposition renders o's metrics as Prometheus text.
+func exposition(t *testing.T, o *obs.Registry) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := o.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 // TestMetricsCountSettlesExactlyOnce races several callers into each
 // campaign's settle and requires the counters to reflect the number of
 // settles executed, not the number of callers: the observation rides

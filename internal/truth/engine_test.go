@@ -11,7 +11,7 @@ import (
 
 // runResumed drives an engine to completion in installments whose sizes
 // are chosen by rng — including zero-budget Run(0) tails — exercising
-// every pause point a background estimator could hit.
+// every pause point a resumed run can hit.
 func runResumed(e *Engine, rng *rand.Rand) {
 	for !e.Done() {
 		switch rng.Intn(3) {
@@ -104,75 +104,6 @@ func TestTracedAndUntracedRunsIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineSetTraceMidRun resumes a paused, untraced engine under a
-// recorder: the result must still match a straight run, and the
-// recorder must see exactly the resumed iterations with the original
-// numbering.
-func TestEngineSetTraceMidRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	var ds *model.Dataset
-	var want *Result
-	// Find a dataset that needs at least 3 iterations so the pause point
-	// is interior.
-	for {
-		ds = randomDataset(rng)
-		var err error
-		want, err = Discover(ds, MethodDATE, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Iterations >= 3 {
-			break
-		}
-	}
-	e, err := NewEngine(ds, MethodDATE, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Run(2)
-	rec := &Recorder{}
-	e.SetTrace(rec)
-	e.Run(0)
-	requireIdenticalResults(t, "resume under trace", want, e.Result())
-	if len(rec.Iterations) != want.Iterations-2 {
-		t.Fatalf("recorder saw %d iterations, want %d", len(rec.Iterations), want.Iterations-2)
-	}
-	if first := rec.Iterations[0].Iteration; first != 3 {
-		t.Fatalf("resumed numbering starts at %d, want 3", first)
-	}
-}
-
-// TestEngineEstimateSnapshotIsolated checks Estimate deep-copies: the
-// provisional view must stay valid (and unchanged) while the engine
-// keeps iterating, and mutating it must not perturb the run.
-func TestEngineEstimateSnapshotIsolated(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	ds := randomDataset(rng)
-	want, err := Discover(ds, MethodDATE, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(ds, MethodDATE, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Step()
-	snap := e.Estimate()
-	if snap.Iterations != 1 || snap.Method != MethodDATE {
-		t.Fatalf("snapshot progress = %+v", snap)
-	}
-	frozen := append([]int32(nil), snap.Truth...)
-	for i := range snap.Truth {
-		snap.Truth[i] = -7 // vandalize the copy
-	}
-	for i := range snap.WorkerAccuracy {
-		snap.WorkerAccuracy[i] = -1
-	}
-	e.Run(0)
-	requireIdenticalResults(t, "run after snapshot mutation", want, e.Result())
-	_ = frozen
-}
-
 // TestEngineStepAfterDoneIsNoOp: a finished engine must refuse further
 // work without perturbing its result.
 func TestEngineStepAfterDoneIsNoOp(t *testing.T) {
@@ -196,8 +127,8 @@ func TestEngineStepAfterDoneIsNoOp(t *testing.T) {
 }
 
 // TestEngineMaxIterationsBudget: an engine capped below convergence
-// stops at the cap, reports Converged=false, and Remaining reaches 0 —
-// matching Discover under the same cap.
+// stops at the cap after one Step — matching Discover under the same
+// cap.
 func TestEngineMaxIterationsBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 10; trial++ {
@@ -212,12 +143,12 @@ func TestEngineMaxIterationsBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Remaining() != 1 {
-			t.Fatalf("fresh Remaining = %d, want 1", e.Remaining())
+		if e.Done() {
+			t.Fatal("fresh engine already done")
 		}
 		e.Step()
-		if !e.Done() || e.Remaining() != 0 {
-			t.Fatalf("after cap: done=%v remaining=%d", e.Done(), e.Remaining())
+		if !e.Done() {
+			t.Fatal("engine not done at the iteration cap")
 		}
 		requireIdenticalResults(t, "capped run", want, e.Result())
 	}

@@ -154,9 +154,9 @@ func (s *state) adjustBySimilarity(values []string, votes, dst []float64) []floa
 // toward the lowest index: only a strictly greater support displaces the
 // incumbent. Value indices are first-appearance order in the dataset, so
 // the winner of a tie is the value observed first — a deterministic rule
-// shared by every voting site (majority seed, per-iteration estimate,
-// provisional and final alike), which is what keeps an incrementally
-// refined estimate and a cold run electing identical truths. Pinned by
+// shared by every voting site (majority seed and per-iteration
+// estimate), so every run over the same dataset elects identical
+// truths. Pinned by
 // TestArgmaxValueLowestIndexTieBreak; do not change without versioning
 // every persisted report.
 func argmaxValue(support []float64) int32 {

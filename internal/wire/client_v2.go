@@ -196,17 +196,6 @@ func (c *Client) StoreStats(ctx context.Context) (*StoreStats, error) {
 	return &out, nil
 }
 
-// CampaignEstimate fetches the live provisional truth estimate of one
-// campaign. An estimate with Staleness 0 and Converged true previews
-// the final report's truth exactly.
-func (c *Client) CampaignEstimate(ctx context.Context, id string) (*EstimateInfo, error) {
-	var out EstimateInfo
-	if err := c.do(ctx, "GET", "/v2/campaigns/"+url.PathEscape(id)+"/estimate", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // CampaignAudit fetches the copier audit of one settled campaign.
 func (c *Client) CampaignAudit(ctx context.Context, id string) (*AuditReport, error) {
 	var out AuditReport

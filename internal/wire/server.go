@@ -17,7 +17,6 @@
 //	POST /v2/campaigns/{id}/close        begin async settle (poll the snapshot)
 //	GET  /v2/campaigns/{id}/report       settled report
 //	GET  /v2/campaigns/{id}/audit        copier audit of a settled campaign
-//	GET  /v2/campaigns/{id}/estimate     live provisional truth estimate
 //	GET  /v2/stats                       unified platform stats (scheduler, store, registry)
 //	GET  /v2/scheduler                   settle-scheduler stats (admission, queue)
 //	GET  /v2/store                       durable-store stats (WAL, snapshots, recovery)
@@ -57,6 +56,8 @@ package wire
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -236,7 +237,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v2/campaigns/{id}/close", s.handleCloseCampaign)
 	mux.HandleFunc("GET /v2/campaigns/{id}/report", s.handleCampaignReport)
 	mux.HandleFunc("GET /v2/campaigns/{id}/audit", s.handleCampaignAudit)
-	mux.HandleFunc("GET /v2/campaigns/{id}/estimate", s.handleCampaignEstimate)
 	mux.HandleFunc("GET /v2/stats", s.handleStats)
 	mux.HandleFunc("GET /v2/scheduler", s.handleSchedulerStats)
 	mux.HandleFunc("GET /v2/store", s.handleStoreStats)
@@ -270,8 +270,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sub Submission
-	if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
-		s.writeError(w, imcerr.Wrapf(imcerr.CodeInvalid, err, "malformed submission"))
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxRequestBody), &sub, "submission"); err != nil {
+		s.writeError(w, err)
 		return
 	}
 	if err := c.Submit(toPlatformSubmission(sub)); err != nil {
@@ -426,6 +426,29 @@ func statusOf(code imcerr.Code) int {
 // rejections. A settle takes seconds at realistic scale, so one second
 // spreads retries without making well-behaved clients wait long.
 const retryAfterSeconds = 1
+
+// maxRequestBody caps every request body the server decodes: campaign
+// creation and both submission endpoints. A fig5-scale batch (400
+// workers × 500 answers each) encodes to about 4 MB, so the cap leaves
+// 8× headroom while bounding what one request can make the server
+// buffer.
+const maxRequestBody = 32 << 20
+
+// decodeJSON decodes one JSON request value from body into v; what
+// names the value in the error. Every failure is invalid, and a body cut
+// off by http.MaxBytesReader says so instead of reporting a syntax
+// error.
+func decodeJSON(body io.Reader, v any, what string) error {
+	err := json.NewDecoder(body).Decode(v)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return imcerr.New(imcerr.CodeInvalid, "%s: request body exceeds %d bytes", what, tooLarge.Limit)
+	}
+	if err != nil {
+		return imcerr.Wrapf(imcerr.CodeInvalid, err, "malformed %s", what)
+	}
+	return nil
+}
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")

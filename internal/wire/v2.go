@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -116,35 +115,6 @@ type StoreStats struct {
 	// Non-fatal: appends are still durable; only restart-time replay
 	// bounding is degraded until a snapshot succeeds.
 	SnapshotError string `json:"snapshot_error,omitempty"`
-}
-
-// EstimateInfo is the wire view of a live campaign's provisional truth
-// estimate (GET /v2/campaigns/{id}/estimate): what the settle would
-// elect if the campaign closed now, refined in the background by the
-// incremental settler. A snapshot with staleness 0 and converged true
-// is exactly what the final report's truth will say — warm-started
-// settles are byte-identical to cold ones.
-type EstimateInfo struct {
-	CampaignID string `json:"campaign_id"`
-	// Truth maps task ID → provisionally estimated value. Empty before
-	// the first background fold (or after a settle adopted the engine).
-	Truth map[string]string `json:"truth,omitempty"`
-	// WorkerAccuracy maps worker ID → current estimated mean accuracy.
-	WorkerAccuracy map[string]float64 `json:"worker_accuracy,omitempty"`
-	// Iterations counts refinement iterations behind this view;
-	// Converged reports whether it is stable over the covered prefix.
-	Iterations int  `json:"iterations"`
-	Converged  bool `json:"converged"`
-	// CoveredSubmissions is how many accepted submissions the estimate
-	// reflects; Staleness how many arrived after it was assembled.
-	CoveredSubmissions int `json:"covered_submissions"`
-	Staleness          int `json:"staleness"`
-	// Folds and Rebuilds count background refinement activity since the
-	// campaign opened.
-	Folds    uint64 `json:"folds"`
-	Rebuilds uint64 `json:"rebuilds"`
-	// Method is the truth-discovery algorithm refining the estimate.
-	Method string `json:"method"`
 }
 
 // CreateCampaignRequest declares a new campaign: either an explicit task
@@ -345,8 +315,8 @@ func (s *Server) campaign(r *http.Request) (*registry.Campaign, error) {
 // the handler so FuzzDecodeV2Request exercises the identical path.
 func decodeCreateCampaignRequest(body io.Reader) (CreateCampaignRequest, error) {
 	var req CreateCampaignRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return req, imcerr.Wrapf(imcerr.CodeInvalid, err, "malformed campaign request")
+	if err := decodeJSON(body, &req, "campaign request"); err != nil {
+		return req, err
 	}
 	switch {
 	case len(req.Tasks) > 0 && req.Spec != nil:
@@ -364,7 +334,7 @@ func decodeCreateCampaignRequest(body io.Reader) (CreateCampaignRequest, error) 
 }
 
 func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeCreateCampaignRequest(r.Body)
+	req, err := decodeCreateCampaignRequest(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -389,6 +359,9 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
 	offset, err := queryInt(r, "offset", 0)
+	if err == nil && offset < 0 {
+		err = imcerr.New(imcerr.CodeInvalid, "query parameter %q: %d is negative", "offset", offset)
+	}
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -449,8 +422,8 @@ func (s *Server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {
 // FuzzDecodeV2Request exercises the identical path.
 func decodeSubmitRequest(body io.Reader) ([]Submission, error) {
 	var req submitRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return nil, imcerr.Wrapf(imcerr.CodeInvalid, err, "malformed submission")
+	if err := decodeJSON(body, &req, "submission"); err != nil {
+		return nil, err
 	}
 	if req.Submissions == nil {
 		return []Submission{req.Submission}, nil
@@ -467,7 +440,7 @@ func (s *Server) handleSubmissions(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	subs, err := decodeSubmitRequest(r.Body)
+	subs, err := decodeSubmitRequest(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -569,31 +542,6 @@ func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, toWireReport(rep))
-}
-
-// handleCampaignEstimate serves the campaign's live provisional
-// estimate. Always 200 on an existing campaign: before any background
-// fold the body simply carries no truth map and a staleness equal to
-// the submission count, so pollers can watch an estimate materialize.
-func (s *Server) handleCampaignEstimate(w http.ResponseWriter, r *http.Request) {
-	c, err := s.campaign(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	snap := c.Estimate()
-	writeJSON(w, http.StatusOK, EstimateInfo{
-		CampaignID:         c.ID(),
-		Truth:              snap.Truth,
-		WorkerAccuracy:     snap.WorkerAccuracy,
-		Iterations:         snap.Iterations,
-		Converged:          snap.Converged,
-		CoveredSubmissions: snap.Covered,
-		Staleness:          snap.Staleness,
-		Folds:              snap.Folds,
-		Rebuilds:           snap.Rebuilds,
-		Method:             snap.Method.String(),
-	})
 }
 
 func (s *Server) handleCampaignAudit(w http.ResponseWriter, r *http.Request) {

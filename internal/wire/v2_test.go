@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -239,6 +241,23 @@ func TestV2ListPageLimitClamped(t *testing.T) {
 		}
 	}
 
+	// A negative offset is refused, like a non-integer one: the registry
+	// would clamp it to 0 and serve the first page under a bogus offset.
+	for _, q := range []string{"?offset=-3", "?offset=x"} {
+		resp, err := http.Get(hs.URL + "/v2/campaigns" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorBody
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || body.Code != string(imcerr.CodeInvalid) {
+			t.Errorf("GET %q = %d %q, want 400 invalid", q, resp.StatusCode, body.Code)
+		}
+	}
+
 	// The typed client's "server default" request shares the clamp.
 	page, err := client.Campaigns(ctx, 0, 0)
 	if err != nil {
@@ -246,6 +265,75 @@ func TestV2ListPageLimitClamped(t *testing.T) {
 	}
 	if page.Limit != defaultPageLimit || len(page.Campaigns) != defaultPageLimit {
 		t.Fatalf("client default page: limit=%d len=%d, want %d", page.Limit, len(page.Campaigns), defaultPageLimit)
+	}
+}
+
+// TestRequestBodyCap covers maxRequestBody: a fig5-scale batch (400
+// workers × 500 answers, about 4 MB) is accepted whole, and a body one
+// byte past the cap is refused as invalid on every endpoint that
+// decodes one, before the server buffers more than the cap.
+func TestRequestBodyCap(t *testing.T) {
+	spec := gen.DefaultSpec()
+	spec.Workers = 400
+	spec.Tasks = 2000
+	spec.Copiers = 100
+	spec.TasksPerWorker = 500
+	spec.ParticipationDecay = 0.3
+	spec.RequirementLow, spec.RequirementHigh = 1, 2
+	w, err := gen.NewCampaign(spec, randx.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := make([]Submission, w.Dataset.NumWorkers())
+	for i := range subs {
+		subs[i] = submissionFor(w, i)
+	}
+	batch, err := json.Marshal(submitRequest{Submissions: subs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) < 1<<20 || len(batch) > maxRequestBody/4 {
+		t.Fatalf("fig5 batch is %d bytes; the cap (%d) should leave at least 4x headroom", len(batch), maxRequestBody)
+	}
+
+	client, _ := startRegistry(t)
+	ctx := context.Background()
+	info, err := client.CreateCampaign(ctx, CreateCampaignRequest{Name: "fig5", Tasks: w.Dataset.Tasks()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := client.SubmitBatch(ctx, info.ID, subs)
+	if err != nil || n != len(subs) {
+		t.Fatalf("fig5 batch: accepted %d of %d, err %v", n, len(subs), err)
+	}
+
+	// One byte past the cap, as a still-open JSON string so only the cap
+	// can end the decode.
+	oversize := append([]byte(`{"name":"`), bytes.Repeat([]byte("x"), maxRequestBody)...)
+	reg := registry.New()
+	def, err := reg.Create("default", w.Dataset.Tasks(), platform.DefaultConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewRegistryServer(reg, def.ID(), platform.DefaultConfig(), nil).Handler()
+	for _, path := range []string{
+		"/v2/campaigns",
+		"/v2/campaigns/" + def.ID() + "/submissions",
+		"/v1/submissions",
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(oversize)))
+		var body errorBody
+		if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		if rec.Code != http.StatusBadRequest || body.Code != string(imcerr.CodeInvalid) ||
+			!strings.Contains(body.Error, "request body exceeds") {
+			t.Errorf("POST %s = %d %+v, want 400 invalid naming the cap", path, rec.Code, body)
+		}
+	}
+	if def.Submissions() != 0 {
+		t.Fatalf("oversize bodies registered %d submissions", def.Submissions())
 	}
 }
 
